@@ -6,6 +6,7 @@
 // for the whole form population.
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "proc/update_cache_avm.h"
 #include "proc/update_cache_rvm.h"
@@ -21,6 +22,21 @@ using rel::PredicateTerm;
 using rel::Tuple;
 using rel::Value;
 using rel::ValueType;
+
+namespace {
+
+// Reports one in-place modification to `strategy` as one transaction: a
+// delete of the old value, an insert of the new one, then the end.
+Status ReportUpdate(proc::Strategy* strategy, const std::string& relation,
+                    const Tuple& old_tuple, const Tuple& new_tuple) {
+  ivm::ChangeBatch changes;
+  changes.AddDelete(old_tuple);
+  changes.AddInsert(new_tuple);
+  PROCSIM_RETURN_IF_ERROR(strategy->OnBatch(relation, changes));
+  return strategy->OnTransactionEnd();
+}
+
+}  // namespace
 
 int main() {
   CostMeter meter;
@@ -150,9 +166,11 @@ int main() {
         old_tuple = widgets->Read(widget_rids[pick]).ValueOrDie();
         (void)widgets->UpdateInPlace(widget_rids[pick], new_tuple);
       }
-      strategy->OnDelete("WIDGET", old_tuple);
-      strategy->OnInsert("WIDGET", new_tuple);
-      (void)strategy->OnTransactionEnd();
+      st = ReportUpdate(strategy.get(), "WIDGET", old_tuple, new_tuple);
+      if (!st.ok()) {
+        std::cerr << st.ToString() << "\n";
+        return 1;
+      }
     }
     const double maintenance = meter.total_ms();
 

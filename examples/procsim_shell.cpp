@@ -14,6 +14,7 @@
 //   access progs1
 //   cost
 //   EOF
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -46,6 +47,20 @@ struct Shell {
   };
   std::map<std::string, StoredProc> procedures;
   std::map<std::string, std::vector<storage::RecordId>> rids;
+
+  // Reports one write to every procedure's strategy as one transaction.  A
+  // strategy that fails has unspecified maintained values, so the shell
+  // exits rather than serve them.
+  void Report(const std::string& relation, const ivm::ChangeBatch& changes) {
+    for (auto& [pname, stored] : procedures) {
+      Status st = stored.strategy->OnBatch(relation, changes);
+      if (st.ok()) st = stored.strategy->OnTransactionEnd();
+      if (!st.ok()) {
+        std::cerr << "fatal: " << pname << ": " << st.ToString() << "\n";
+        std::exit(1);
+      }
+    }
+  }
 
   // --- command handlers ----------------------------------------------------
 
@@ -104,10 +119,9 @@ struct Shell {
     Result<storage::RecordId> rid = relation.ValueOrDie()->Insert(tuple);
     if (!rid.ok()) return rid.status();
     rids[name].push_back(rid.ValueOrDie());
-    for (auto& [pname, stored] : procedures) {
-      stored.strategy->OnInsert(name, tuple);
-      PROCSIM_RETURN_IF_ERROR(stored.strategy->OnTransactionEnd());
-    }
+    ivm::ChangeBatch changes;
+    changes.AddInsert(tuple);
+    Report(name, changes);
     return Status::OK();
   }
 
@@ -143,11 +157,10 @@ struct Shell {
     const rel::Tuple new_tuple{std::move(values)};
     PROCSIM_RETURN_IF_ERROR(
         relation.ValueOrDie()->UpdateInPlace(target, new_tuple));
-    for (auto& [pname, stored] : procedures) {
-      stored.strategy->OnDelete(name, old_tuple);
-      stored.strategy->OnInsert(name, new_tuple);
-      PROCSIM_RETURN_IF_ERROR(stored.strategy->OnTransactionEnd());
-    }
+    ivm::ChangeBatch changes;
+    changes.AddDelete(old_tuple);
+    changes.AddInsert(new_tuple);
+    Report(name, changes);
     std::cout << "updated 1 row\n";
     return Status::OK();
   }

@@ -7,6 +7,7 @@
 // the same answer while charging very different simulated costs.
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "proc/always_recompute.h"
 #include "proc/cache_invalidate.h"
@@ -30,6 +31,17 @@ namespace {
 // Job codes for EMP.job (stored as int64 for index support).
 constexpr int64_t kProgrammer = 1;
 constexpr int64_t kClerk = 2;
+
+// Reports one in-place modification to `strategy` as one transaction: a
+// delete of the old value, an insert of the new one, then the end.
+Status ReportUpdate(proc::Strategy* strategy, const std::string& relation,
+                    const Tuple& old_tuple, const Tuple& new_tuple) {
+  ivm::ChangeBatch changes;
+  changes.AddDelete(old_tuple);
+  changes.AddInsert(new_tuple);
+  PROCSIM_RETURN_IF_ERROR(strategy->OnBatch(relation, changes));
+  return strategy->OnTransactionEnd();
+}
 
 }  // namespace
 
@@ -148,9 +160,11 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)emp->UpdateInPlace(emp_rids[123], new_tuple);
     }
-    strategy->OnDelete("EMP", old_tuple);
-    strategy->OnInsert("EMP", new_tuple);
-    (void)strategy->OnTransactionEnd();
+    Status st = ReportUpdate(strategy.get(), "EMP", old_tuple, new_tuple);
+    if (!st.ok()) {
+      std::cerr << "update failed: " << st.ToString() << "\n";
+      return 1;
+    }
     (void)strategy->Access(0);
     const double update_cost = meter.total_ms();
 
@@ -159,9 +173,11 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)emp->UpdateInPlace(emp_rids[123], old_tuple);
     }
-    strategy->OnDelete("EMP", new_tuple);
-    strategy->OnInsert("EMP", old_tuple);
-    (void)strategy->OnTransactionEnd();
+    st = ReportUpdate(strategy.get(), "EMP", new_tuple, old_tuple);
+    if (!st.ok()) {
+      std::cerr << "restore failed: " << st.ToString() << "\n";
+      return 1;
+    }
 
     table.AddRow({strategy->name(), std::to_string(progs_rows),
                   std::to_string(clerks_rows),

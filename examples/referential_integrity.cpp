@@ -21,6 +21,17 @@ using rel::Tuple;
 using rel::Value;
 using rel::ValueType;
 
+namespace {
+
+// Reports one transaction's ordered change run to `monitor`, then ends the
+// transaction.
+Status Report(proc::Strategy* monitor, const ivm::ChangeBatch& changes) {
+  PROCSIM_RETURN_IF_ERROR(monitor->OnBatch("ORDERS", changes));
+  return monitor->OnTransactionEnd();
+}
+
+}  // namespace
+
 int main() {
   CostMeter meter;
   storage::SimulatedDisk disk(4000, &meter);
@@ -108,9 +119,14 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)orders->UpdateInPlace(rid, fixed_row);
     }
-    monitor.OnDelete("ORDERS", row);
-    monitor.OnInsert("ORDERS", fixed_row);
-    (void)monitor.OnTransactionEnd();
+    ivm::ChangeBatch changes;
+    changes.AddDelete(row);
+    changes.AddInsert(fixed_row);
+    st = Report(&monitor, changes);
+    if (!st.ok()) {
+      std::cerr << st.ToString() << "\n";
+      return 1;
+    }
     ++fixed;
   }
   std::cout << "reassigned " << fixed << " orders\n";
@@ -123,8 +139,13 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)orders->Insert(bad_order);
     }
-    monitor.OnInsert("ORDERS", bad_order);
-    (void)monitor.OnTransactionEnd();
+    ivm::ChangeBatch changes;
+    changes.AddInsert(bad_order);
+    st = Report(&monitor, changes);
+    if (!st.ok()) {
+      std::cerr << st.ToString() << "\n";
+      return 1;
+    }
   }
   report("after inserting a bad order");
   return 0;

@@ -62,11 +62,11 @@ Status AdvanceReference(sim::Database* db, const sim::WorkloadMix& mix,
       case storage::WalRecord::Kind::kCommit: {
         const auto it = buffered->find(record.txn);
         if (it == buffered->end()) break;  // read-only transaction
-        for (const WorkloadOp& op : it->second) {
-          Result<sim::MutationResult> applied =
-              sim::ApplyMutationOp(db, op, mix, /*inline_rng=*/nullptr);
-          PROCSIM_RETURN_IF_ERROR(applied.status());
-        }
+        // The reference database has no strategies to notify.
+        PROCSIM_RETURN_IF_ERROR(sim::ApplyTransaction(db, it->second, mix,
+                                                      /*inline_rng=*/nullptr,
+                                                      /*strategies=*/{})
+                                    .status());
         buffered->erase(it);
         *digest_stale = true;
         break;

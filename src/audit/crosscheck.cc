@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "audit/validate.h"
-#include "ivm/delta.h"
 #include "proc/cache_invalidate.h"
 #include "proc/strategy.h"
 #include "proc/update_cache_rvm.h"
@@ -138,34 +137,6 @@ Status CompareBatch(Harness* harness, const CrossCheckOptions& options,
   return Status::OK();
 }
 
-/// Reports one base-table write to every strategy.
-void Notify(Harness* harness, bool is_insert, const Tuple& tuple) {
-  for (const std::unique_ptr<proc::Strategy>& strategy :
-       harness->strategies.all) {
-    if (is_insert) {
-      strategy->OnInsert("R1", tuple);
-    } else {
-      strategy->OnDelete("R1", tuple);
-    }
-  }
-}
-
-/// Reports a transaction's whole ordered change run to every strategy.
-void NotifyBatch(Harness* harness, const ivm::ChangeBatch& changes) {
-  for (const std::unique_ptr<proc::Strategy>& strategy :
-       harness->strategies.all) {
-    strategy->OnBatch("R1", changes);
-  }
-}
-
-Status EndTransaction(Harness* harness) {
-  for (const std::unique_ptr<proc::Strategy>& strategy :
-       harness->strategies.all) {
-    PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
-  }
-  return Status::OK();
-}
-
 sim::WorkloadMix MixFromOptions(const CrossCheckOptions& options) {
   sim::WorkloadMix mix;
   mix.update_weight = options.update_weight;
@@ -222,32 +193,14 @@ Result<CrossCheckReport> RunOpStream(
   // Applies a batch of mutation ops atomically: every strategy notification,
   // then one transaction end (the marker-pair semantics of sim::WorkloadOp;
   // a bare mutation is a batch of one, preserving the historical behavior).
+  const std::vector<proc::Strategy*> strategies = harness.strategies.List();
   const auto apply_batch = [&](const std::vector<WorkloadOp>& batch,
                                bool* any_applied) -> Status {
-    bool any_notify = false;
-    ivm::ChangeBatch changes;
-    for (const WorkloadOp& op : batch) {
-      Result<sim::MutationResult> mutation =
-          sim::ApplyMutationOp(db, op, mix, &rng);
-      PROCSIM_RETURN_IF_ERROR(mutation.status());
-      const sim::MutationResult& applied = mutation.ValueOrDie();
-      if (!applied.applied) continue;  // e.g. delete against a minimum table
-      *any_applied = true;
-      count_mutation(op.kind);
-      if (!applied.notify) continue;
-      for (const auto& [old_tuple, new_tuple] : applied.changes) {
-        if (options.notify_in_batches) {
-          if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-          if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
-        } else {
-          if (old_tuple.has_value()) Notify(&harness, false, *old_tuple);
-          if (new_tuple.has_value()) Notify(&harness, true, *new_tuple);
-        }
-      }
-      any_notify = true;
-    }
-    if (!changes.empty()) NotifyBatch(&harness, changes);
-    if (any_notify) PROCSIM_RETURN_IF_ERROR(EndTransaction(&harness));
+    Result<std::vector<WorkloadOp>> applied =
+        sim::ApplyTransaction(db, batch, mix, &rng, strategies);
+    PROCSIM_RETURN_IF_ERROR(applied.status());
+    for (const WorkloadOp& op : applied.ValueOrDie()) count_mutation(op.kind);
+    *any_applied = !applied.ValueOrDie().empty();
     return Status::OK();
   };
 

@@ -41,13 +41,6 @@ struct CrossCheckOptions {
   /// i-locks, invalidation log, cache budget) after every update batch.
   bool validate_structures = true;
 
-  /// Deliver each transaction's changes to the strategies as one ordered
-  /// ivm::ChangeBatch (Strategy::OnBatch — the vectorized maintenance path)
-  /// instead of per-change OnInsert/OnDelete calls.  Both paths must yield
-  /// byte-identical answers; the audit fuzzer runs one stream through each
-  /// and compares digests.
-  bool notify_in_batches = false;
-
   /// Shard count and cache budget the six strategies run under.  An
   /// adversarially tiny budget forces constant eviction; the oracle's
   /// byte-identity guarantee must hold regardless (eviction is not
@@ -96,7 +89,9 @@ std::vector<sim::WorkloadOp> GenerateOpStream(const CrossCheckOptions& options);
 /// \brief Replays an explicit op stream under the differential oracle:
 /// builds the options' database plus all six strategies, then executes
 /// `ops` — comparing every access against the from-scratch oracle and
-/// running CompareBatch/validators after each applied mutation.
+/// running CompareBatch/validators after each applied mutation.  Each
+/// mutation (or each committed marker-bracketed group of them) reaches the
+/// strategies through sim::ApplyTransaction, the path every engine uses.
 ///
 /// kSilentUpdate ops mutate the base table but skip strategy notification
 /// AND the transaction-end hook, so the immediately following comparison

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "audit/validate.h"
-#include "ivm/delta.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "proc/cache_invalidate.h"
@@ -137,34 +136,9 @@ Status Engine::ApplyOps(const std::vector<sim::WorkloadOp>& ops,
                         const sim::WorkloadMix& mix) {
   obs::TraceSpan span("concurrent.engine.mutate", "concurrent");
   util::RankedLockGuard db_guard(db_latch_);
-  // One ordered change batch for the transaction, one notification per
-  // strategy (see txn::TxnEngine::ApplyCommitted for the equivalence
-  // argument — strategies never read R1 during notification).
-  bool notified = false;
-  ivm::ChangeBatch changes;
-  for (const sim::WorkloadOp& op : ops) {
-    Result<sim::MutationResult> mutation =
-        sim::ApplyMutationOp(db_.get(), op, mix, /*inline_rng=*/nullptr);
-    PROCSIM_RETURN_IF_ERROR(mutation.status());
-    const sim::MutationResult& applied = mutation.ValueOrDie();
-    if (!applied.applied || !applied.notify) continue;
-    for (const auto& [old_tuple, new_tuple] : applied.changes) {
-      if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-      if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
-    }
-    notified = true;
-  }
-  if (!changes.empty()) {
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      strategy->OnBatch("R1", changes);
-    }
-  }
-  if (notified) {
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
-    }
-  }
-  return Status::OK();
+  return sim::ApplyTransaction(db_.get(), ops, mix, /*inline_rng=*/nullptr,
+                               strategies_.List())
+      .status();
 }
 
 Status Engine::ValidateAtQuiesce() {

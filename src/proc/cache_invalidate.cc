@@ -143,26 +143,25 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
   return value;
 }
 
-void CacheInvalidateStrategy::HandleWrite(const std::string& relation,
-                                          const rel::Tuple& tuple) {
+Status CacheInvalidateStrategy::HandleWrite(const std::string& relation,
+                                            const rel::Tuple& tuple) {
   for (ProcId id : locks_.FindBroken(relation, tuple)) {
     if (!validity_->IsValid(id)) continue;  // already marked
-    Status st = validity_->MarkInvalid(id);
-    PROCSIM_CHECK(st.ok()) << st.ToString();
+    PROCSIM_RETURN_IF_ERROR(validity_->MarkInvalid(id));
     invalidation_count_.fetch_add(1, std::memory_order_relaxed);
     g_invalidations->Add();
     meter_->ChargeFixed(invalidation_cost_ms_);
   }
+  return Status::OK();
 }
 
-void CacheInvalidateStrategy::OnInsert(const std::string& relation,
-                                       const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple);
-}
-
-void CacheInvalidateStrategy::OnDelete(const std::string& relation,
-                                       const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple);
+Status CacheInvalidateStrategy::OnBatch(const std::string& relation,
+                                        const ivm::ChangeBatch& changes) {
+  // Inserts and deletes break i-locks alike.
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    PROCSIM_RETURN_IF_ERROR(HandleWrite(relation, changes.RowAt(i)));
+  }
+  return Status::OK();
 }
 
 bool CacheInvalidateStrategy::IsValid(ProcId id) const {

@@ -44,8 +44,8 @@ class CacheInvalidateStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
+  Status OnBatch(const std::string& relation,
+                 const ivm::ChangeBatch& changes) override;
 
   /// Whether procedure `id`'s cached value is currently valid.
   bool IsValid(ProcId id) const;
@@ -107,7 +107,7 @@ class CacheInvalidateStrategy : public Strategy {
   /// Recomputes procedure `id`, refreshes its cache and re-acquires locks.
   Result<std::vector<rel::Tuple>> Recompute(ProcId id);
 
-  void HandleWrite(const std::string& relation, const rel::Tuple& tuple);
+  Status HandleWrite(const std::string& relation, const rel::Tuple& tuple);
 
   double invalidation_cost_ms_;
   std::vector<Entry> entries_;

@@ -52,7 +52,6 @@ Status UpdateCacheAdaptiveStrategy::Prepare() {
 
 Result<std::vector<rel::Tuple>> UpdateCacheAdaptiveStrategy::Access(
     ProcId id) {
-  PROCSIM_RETURN_IF_ERROR(deferred_error_);
   if (id >= entries_.size()) {
     return Status::NotFound("no procedure with id " + std::to_string(id));
   }
@@ -83,19 +82,16 @@ Result<std::vector<rel::Tuple>> UpdateCacheAdaptiveStrategy::Access(
   return entry.maintainer->Read();
 }
 
-void UpdateCacheAdaptiveStrategy::HandleWrite(const std::string& relation,
-                                              const rel::Tuple& tuple,
-                                              bool is_insert) {
+Status UpdateCacheAdaptiveStrategy::HandleWrite(const std::string& relation,
+                                                const rel::Tuple& tuple,
+                                                bool is_insert) {
   for (ProcId id : locks_.FindBroken(relation, tuple)) {
     Entry& entry = entries_[id];
     if (!entry.valid) continue;  // already invalid; recompute will catch up
     if (!EntryLive(entry)) continue;  // evicted; next access recomputes
     Result<bool> matches =
         executor_->MatchesBase(entry.maintainer->query(), tuple);
-    if (!matches.ok()) {
-      deferred_error_ = matches.status();
-      return;
-    }
+    PROCSIM_RETURN_IF_ERROR(matches.status());
     meter_->ChargeDeltaMaintenance();
     if (!matches.ValueOrDie()) continue;
     if (is_insert) {
@@ -104,20 +100,19 @@ void UpdateCacheAdaptiveStrategy::HandleWrite(const std::string& relation,
       entry.pending.AddDelete(tuple);
     }
   }
+  return Status::OK();
 }
 
-void UpdateCacheAdaptiveStrategy::OnInsert(const std::string& relation,
-                                           const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/true);
-}
-
-void UpdateCacheAdaptiveStrategy::OnDelete(const std::string& relation,
-                                           const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/false);
+Status UpdateCacheAdaptiveStrategy::OnBatch(const std::string& relation,
+                                            const ivm::ChangeBatch& changes) {
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    PROCSIM_RETURN_IF_ERROR(
+        HandleWrite(relation, changes.RowAt(i), changes.is_insert(i)));
+  }
+  return Status::OK();
 }
 
 Status UpdateCacheAdaptiveStrategy::OnTransactionEnd() {
-  PROCSIM_RETURN_IF_ERROR(deferred_error_);
   for (Entry& entry : entries_) {
     // A sibling's Resize below may evict this entry mid-loop; its pending
     // deltas are moot (next access recomputes from base tables).

@@ -49,8 +49,8 @@ class UpdateCacheAdaptiveStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
+  Status OnBatch(const std::string& relation,
+                 const ivm::ChangeBatch& changes) override;
   Status OnTransactionEnd() override;
 
   std::size_t patch_count() const { return patch_count_; }
@@ -74,14 +74,13 @@ class UpdateCacheAdaptiveStrategy : public Strategy {
            entry.live->load(std::memory_order_acquire);
   }
 
-  void HandleWrite(const std::string& relation, const rel::Tuple& tuple,
-                   bool is_insert);
+  Status HandleWrite(const std::string& relation, const rel::Tuple& tuple,
+                     bool is_insert);
 
   double patch_fraction_;
   std::size_t max_unread_patches_;
   std::vector<Entry> entries_;
   ILockTable locks_{config_.shards};
-  Status deferred_error_;
   std::size_t patch_count_ = 0;
   std::size_t invalidate_count_ = 0;
 };

@@ -45,7 +45,6 @@ Status UpdateCacheAvmStrategy::Prepare() {
 }
 
 Result<std::vector<rel::Tuple>> UpdateCacheAvmStrategy::Access(ProcId id) {
-  if (!deferred_error_.ok()) return deferred_error_;
   if (id >= entries_.size()) {
     return Status::NotFound("no procedure with id " + std::to_string(id));
   }
@@ -72,9 +71,9 @@ Result<std::vector<rel::Tuple>> UpdateCacheAvmStrategy::Access(ProcId id) {
   return value;
 }
 
-void UpdateCacheAvmStrategy::HandleWrite(const std::string& relation,
-                                         const rel::Tuple& tuple,
-                                         bool is_insert) {
+Status UpdateCacheAvmStrategy::HandleWrite(const std::string& relation,
+                                           const rel::Tuple& tuple,
+                                           bool is_insert) {
   for (ProcId id : locks_.FindBroken(relation, tuple)) {
     Entry& entry = entries_[id];
     // An evicted copy cannot be patched; the next access recomputes it, so
@@ -84,10 +83,7 @@ void UpdateCacheAvmStrategy::HandleWrite(const std::string& relation,
     // term, at least one) and track it in the A_net/D_net structures (C3).
     Result<bool> matches =
         executor_->MatchesBase(entry.maintainer->query(), tuple);
-    if (!matches.ok()) {
-      deferred_error_ = matches.status();
-      return;
-    }
+    PROCSIM_RETURN_IF_ERROR(matches.status());
     meter_->ChargeDeltaMaintenance();
     if (!matches.ValueOrDie()) continue;
     if (is_insert) {
@@ -96,20 +92,19 @@ void UpdateCacheAvmStrategy::HandleWrite(const std::string& relation,
       entry.pending.AddDelete(tuple);
     }
   }
+  return Status::OK();
 }
 
-void UpdateCacheAvmStrategy::OnInsert(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/true);
-}
-
-void UpdateCacheAvmStrategy::OnDelete(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/false);
+Status UpdateCacheAvmStrategy::OnBatch(const std::string& relation,
+                                       const ivm::ChangeBatch& changes) {
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    PROCSIM_RETURN_IF_ERROR(
+        HandleWrite(relation, changes.RowAt(i), changes.is_insert(i)));
+  }
+  return Status::OK();
 }
 
 Status UpdateCacheAvmStrategy::OnTransactionEnd() {
-  PROCSIM_RETURN_IF_ERROR(deferred_error_);
   for (Entry& entry : entries_) {
     // A sibling's Resize below may evict this entry mid-loop: its pending
     // deltas are then moot (next access recomputes from base tables).

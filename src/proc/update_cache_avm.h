@@ -33,8 +33,8 @@ class UpdateCacheAvmStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
+  Status OnBatch(const std::string& relation,
+                 const ivm::ChangeBatch& changes) override;
   Status OnTransactionEnd() override;
 
   /// Current maintained value without charging (for tests).
@@ -54,12 +54,11 @@ class UpdateCacheAvmStrategy : public Strategy {
            entry.live->load(std::memory_order_acquire);
   }
 
-  void HandleWrite(const std::string& relation, const rel::Tuple& tuple,
-                   bool is_insert);
+  Status HandleWrite(const std::string& relation, const rel::Tuple& tuple,
+                     bool is_insert);
 
   std::vector<Entry> entries_;
   ILockTable locks_{config_.shards};
-  Status deferred_error_;
 };
 
 }  // namespace procsim::proc

@@ -57,7 +57,6 @@ Status UpdateCacheRvmStrategy::Prepare() {
 }
 
 Result<std::vector<rel::Tuple>> UpdateCacheRvmStrategy::Access(ProcId id) {
-  if (!deferred_error_.ok()) return deferred_error_;
   if (id >= result_memories_.size()) {
     return Status::NotFound("no procedure with id " + std::to_string(id));
   }
@@ -82,29 +81,13 @@ Result<std::vector<rel::Tuple>> UpdateCacheRvmStrategy::Access(ProcId id) {
   return memory->ReadAll();
 }
 
-void UpdateCacheRvmStrategy::OnInsert(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  if (!deferred_error_.ok() || network_ == nullptr) return;
-  Status st = network_->OnInsert(relation, tuple);
-  if (!st.ok()) deferred_error_ = st;
-}
-
-void UpdateCacheRvmStrategy::OnDelete(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  if (!deferred_error_.ok() || network_ == nullptr) return;
-  Status st = network_->OnDelete(relation, tuple);
-  if (!st.ok()) deferred_error_ = st;
-}
-
-void UpdateCacheRvmStrategy::OnBatch(const std::string& relation,
-                                     const ivm::ChangeBatch& changes) {
-  if (!deferred_error_.ok() || network_ == nullptr) return;
-  Status st = network_->OnChanges(relation, changes);
-  if (!st.ok()) deferred_error_ = st;
+Status UpdateCacheRvmStrategy::OnBatch(const std::string& relation,
+                                       const ivm::ChangeBatch& changes) {
+  if (network_ == nullptr) return Status::OK();
+  return network_->OnChanges(relation, changes);
 }
 
 Status UpdateCacheRvmStrategy::OnTransactionEnd() {
-  if (!deferred_error_.ok()) return deferred_error_;
   if (network_ != nullptr) {
     PROCSIM_AUDIT_OK(network_->ValidateState());
   }

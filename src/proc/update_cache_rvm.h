@@ -32,14 +32,11 @@ class UpdateCacheRvmStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
-
   /// Bulk Rete propagation: the whole ordered change run enters the network
   /// as one token batch (ReteNetwork::SubmitBatch) — one root-latch
   /// acquisition and one activation cascade instead of per-token walks.
-  void OnBatch(const std::string& relation,
-               const ivm::ChangeBatch& changes) override;
+  Status OnBatch(const std::string& relation,
+                 const ivm::ChangeBatch& changes) override;
 
   /// Audit boundary: base relations and Rete memories must agree here (they
   /// legitimately diverge mid-transaction while tokens are in flight).
@@ -69,7 +66,6 @@ class UpdateCacheRvmStrategy : public Strategy {
       budget_entries_;
   std::unordered_map<const rete::MemoryNode*, CacheBudget::EntryId>
       budget_index_;
-  Status deferred_error_;
 };
 
 }  // namespace procsim::proc

@@ -1,6 +1,6 @@
 #include "relational/relation.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -51,9 +51,6 @@ Result<storage::RecordId> Relation::Insert(const Tuple& tuple) {
     PROCSIM_RETURN_IF_ERROR(hash_->Insert(
         IndexKey(tuple, *options_.hash_column), rid.ValueOrDie()));
   }
-  for (UpdateObserver* observer : observers_) {
-    observer->OnInsert(name_, tuple);
-  }
   return rid;
 }
 
@@ -68,9 +65,6 @@ Status Relation::Delete(storage::RecordId rid) {
   if (hash_ != nullptr) {
     PROCSIM_RETURN_IF_ERROR(hash_->Delete(
         IndexKey(old_tuple.ValueOrDie(), *options_.hash_column), rid));
-  }
-  for (UpdateObserver* observer : observers_) {
-    observer->OnDelete(name_, old_tuple.ValueOrDie());
   }
   return Status::OK();
 }
@@ -98,10 +92,6 @@ Status Relation::UpdateInPlace(storage::RecordId rid, const Tuple& new_tuple) {
       PROCSIM_RETURN_IF_ERROR(hash_->Delete(old_key, rid));
       PROCSIM_RETURN_IF_ERROR(hash_->Insert(new_key, rid));
     }
-  }
-  for (UpdateObserver* observer : observers_) {
-    observer->OnDelete(name_, old_tuple.ValueOrDie());
-    observer->OnInsert(name_, new_tuple);
   }
   return Status::OK();
 }
@@ -155,11 +145,6 @@ Result<std::vector<Tuple>> Relation::HashProbe(int64_t key) const {
     tuples.push_back(tuple.TakeValueOrDie());
   }
   return tuples;
-}
-
-void Relation::RemoveObserver(UpdateObserver* observer) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
 }
 
 }  // namespace procsim::rel

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ivm/delta.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "proc/always_recompute.h"
@@ -153,18 +152,9 @@ Result<SimulationResult> Simulator::RunWithFactory(
     if (op.kind == WorkloadOp::Kind::kUpdate) {
       obs::TraceSpan span("sim.update", "sim");
       const double before_ms = db->meter.total_ms();
-      Result<MutationResult> mutation =
-          ApplyMutationOp(db.get(), op, mix, &rng);
-      if (!mutation.ok()) return mutation.status();
-      // The whole update transaction notifies as one ordered change batch
-      // (delete-old-then-insert-new per modified tuple, in op order).
-      ivm::ChangeBatch changes;
-      for (const auto& [old_tuple, new_tuple] : mutation.ValueOrDie().changes) {
-        if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-        if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
-      }
-      if (!changes.empty()) strategy->OnBatch("R1", changes);
-      PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
+      PROCSIM_RETURN_IF_ERROR(
+          ApplyTransaction(db.get(), {op}, mix, &rng, {strategy.get()})
+              .status());
       ++result.update_transactions;
       g_update_cost->Observe(db->meter.total_ms() - before_ms);
     } else {

@@ -91,6 +91,16 @@ struct StrategySet {
   std::vector<std::unique_ptr<proc::Strategy>> all;
   proc::CacheInvalidateStrategy* cache_invalidate = nullptr;
   proc::UpdateCacheRvmStrategy* rvm = nullptr;
+
+  /// `all` as plain pointers, the form ApplyTransaction takes.
+  std::vector<proc::Strategy*> List() const {
+    std::vector<proc::Strategy*> list;
+    list.reserve(all.size());
+    for (const std::unique_ptr<proc::Strategy>& strategy : all) {
+      list.push_back(strategy.get());
+    }
+    return list;
+  }
 };
 
 /// Builds the full strategy set over `db`, registers every procedure with

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ivm/delta.h"
 #include "obs/metrics.h"
+#include "proc/strategy.h"
 #include "util/logging.h"
 
 namespace procsim::sim {
@@ -378,6 +380,38 @@ Result<MutationResult> ApplyMutationOp(Database* db, const WorkloadOp& op,
     }
   }
   return result;
+}
+
+Result<std::vector<WorkloadOp>> ApplyTransaction(
+    Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
+    Rng* inline_rng, const std::vector<proc::Strategy*>& strategies) {
+  std::vector<WorkloadOp> applied_ops;
+  bool notify = false;
+  ivm::ChangeBatch changes;
+  for (const WorkloadOp& op : ops) {
+    Result<MutationResult> mutation =
+        ApplyMutationOp(db, op, mix, inline_rng);
+    PROCSIM_RETURN_IF_ERROR(mutation.status());
+    const MutationResult& applied = mutation.ValueOrDie();
+    if (!applied.applied) continue;
+    applied_ops.push_back(op);
+    if (!applied.notify) continue;
+    for (const auto& [old_tuple, new_tuple] : applied.changes) {
+      if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
+      if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
+    }
+    notify = true;
+  }
+  if (!notify) return applied_ops;
+  if (!changes.empty()) {
+    for (proc::Strategy* strategy : strategies) {
+      PROCSIM_RETURN_IF_ERROR(strategy->OnBatch("R1", changes));
+    }
+  }
+  for (proc::Strategy* strategy : strategies) {
+    PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
+  }
+  return applied_ops;
 }
 
 std::string CanonicalResultBytes(const std::vector<rel::Tuple>& tuples) {

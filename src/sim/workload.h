@@ -16,6 +16,10 @@
 #include "util/cost_meter.h"
 #include "util/rng.h"
 
+namespace procsim::proc {
+class Strategy;
+}  // namespace procsim::proc
+
 namespace procsim::sim {
 
 /// \brief A fully built experiment database: the paper's R1/R2/R3 with the
@@ -197,6 +201,26 @@ struct MutationResult {
 Result<MutationResult> ApplyMutationOp(Database* db, const WorkloadOp& op,
                                        const WorkloadMix& mix,
                                        Rng* inline_rng);
+
+/// \brief Applies one transaction's mutation ops and reports them to
+/// `strategies`: the one path by which a base-table write reaches a
+/// strategy.
+///
+/// Every op goes through ApplyMutationOp.  The changes of the applied ops
+/// whose `notify` is set form one ChangeBatch against R1, in op order, with
+/// each in-place modification as a delete of the old tuple followed by an
+/// insert of the new one.  Each strategy then gets OnBatch (when the batch
+/// is non-empty) and OnTransactionEnd.  Strategies never read R1 while
+/// being notified, so notifying after all ops are applied is equivalent to
+/// interleaving.  When no applied op notifies (a kSilentUpdate-only
+/// transaction, or a delete skipped against a minimum-size table), no
+/// strategy is called at all.  The first error — of an op, an OnBatch or an
+/// OnTransactionEnd — is returned at once, with no later strategy call.
+///
+/// Returns the ops that were applied (MutationResult::applied), in order.
+Result<std::vector<WorkloadOp>> ApplyTransaction(
+    Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
+    Rng* inline_rng, const std::vector<proc::Strategy*>& strategies);
 
 /// \brief Byte-exact canonical form of a result bag: each tuple serialized,
 /// images sorted, then length-prefix concatenated into one string.  Two

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "ivm/delta.h"
 #include "proc/cache_invalidate.h"
 #include "storage/disk.h"
 #include "util/logging.h"
@@ -132,44 +131,15 @@ Status TxnEngine::ApplyCommitted(TxnId txn,
                                  bool skip_invalidation) {
   CurrentTxnScope scope(txn);
   util::RankedLockGuard db_guard(db_latch_);
-  // Coalesce the transaction's mutations into one ordered change run, then
-  // notify each strategy once with the whole batch.  WAL record order (= the
-  // op order here) is the serialization order, and the batch preserves it
-  // change for change, so strategies see exactly the per-change stream they
-  // used to — a modification stays delete-old-then-insert-new.  Strategies
-  // never read R1 while being notified (i-locks, predicate tests and Rete
-  // stores are all driven by the passed tuples alone), so notifying after
-  // all ops are applied is equivalent to interleaving.
-  bool notified = false;
-  ivm::ChangeBatch changes;
-  for (const sim::WorkloadOp& op : ops) {
-    Result<sim::MutationResult> mutation =
-        sim::ApplyMutationOp(db_.get(), op, options_.mix, /*inline_rng=*/
-                             nullptr);
-    PROCSIM_RETURN_IF_ERROR(mutation.status());
-    const sim::MutationResult& applied = mutation.ValueOrDie();
-    if (!applied.applied || !applied.notify) continue;
-    for (const auto& [old_tuple, new_tuple] : applied.changes) {
-      if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-      if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
-    }
-    notified = true;
+  std::vector<proc::Strategy*> strategies = strategies_.List();
+  if (skip_invalidation) {
+    // The planted recovery bug: CacheInvalidate never hears of the writes,
+    // a lost invalidation.
+    std::erase(strategies, strategies_.cache_invalidate);
   }
-  if (!changes.empty()) {
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      if (skip_invalidation &&
-          strategy.get() == strategies_.cache_invalidate) {
-        continue;  // the planted recovery bug: a lost invalidation
-      }
-      strategy->OnBatch(kMutatedRelation, changes);
-    }
-  }
-  if (notified) {
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
-    }
-  }
-  return Status::OK();
+  return sim::ApplyTransaction(db_.get(), ops, options_.mix,
+                               /*inline_rng=*/nullptr, strategies)
+      .status();
 }
 
 Status TxnEngine::TakeCheckpoint(bool truncate_validity_log)

@@ -6,6 +6,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+
+#include "proc/strategy.h"
+#include "util/logging.h"
 
 namespace procsim::sim {
 namespace {
@@ -224,6 +228,123 @@ TEST(WorkloadOpTest, MarkerOpsAreRejectedByApplyMutationOp) {
         built.ValueOrDie().get(), WorkloadOp{kind, 0}, mix, nullptr);
     EXPECT_FALSE(applied.ok()) << WorkloadOpKindName(kind);
   }
+}
+
+/// A strategy that records what ApplyTransaction tells it.
+class RecordingStrategy : public proc::Strategy {
+ public:
+  explicit RecordingStrategy(Database* db)
+      : Strategy(db->catalog.get(), db->executor.get(), &db->meter, 100) {}
+
+  std::string name() const override { return "Recording"; }
+  Status Prepare() override { return Status::OK(); }
+  Result<std::vector<rel::Tuple>> Access(proc::ProcId) override {
+    return std::vector<rel::Tuple>{};
+  }
+
+  Status OnBatch(const std::string& relation,
+                 const ivm::ChangeBatch& changes) override {
+    ++batches;
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+      events.push_back((changes.is_insert(i) ? "+" : "-") + relation +
+                       changes.RowAt(i).ToString());
+    }
+    return batch_status;
+  }
+
+  Status OnTransactionEnd() override {
+    ++ends;
+    return Status::OK();
+  }
+
+  Status batch_status;  ///< what OnBatch returns
+  std::vector<std::string> events;
+  int batches = 0;
+  int ends = 0;
+};
+
+std::unique_ptr<Database> TinyDatabase() {
+  Result<std::unique_ptr<Database>> built =
+      BuildDatabase(TinyParams(), cost::ProcModel::kModel1, 7);
+  PROCSIM_CHECK(built.ok()) << built.status().ToString();
+  return built.TakeValueOrDie();
+}
+
+TEST(ApplyTransactionTest, ModificationArrivesAsDeleteOldThenInsertNew) {
+  WorkloadMix mix;
+  mix.update_batch = 2;
+  const std::vector<WorkloadOp> ops = {{WorkloadOp::Kind::kUpdate, 11},
+                                       {WorkloadOp::Kind::kInsert, 12},
+                                       {WorkloadOp::Kind::kDelete, 13}};
+  // The same ops applied to an identical database give the expected
+  // stream: per change, the old tuple as a delete, then the new one as an
+  // insert, in op order.
+  std::unique_ptr<Database> twin = TinyDatabase();
+  std::vector<std::string> expected;
+  for (const WorkloadOp& op : ops) {
+    Result<MutationResult> mutation =
+        ApplyMutationOp(twin.get(), op, mix, nullptr);
+    ASSERT_TRUE(mutation.ok()) << mutation.status().ToString();
+    for (const auto& [old_tuple, new_tuple] : mutation.ValueOrDie().changes) {
+      if (old_tuple.has_value()) {
+        expected.push_back("-R1" + old_tuple->ToString());
+      }
+      if (new_tuple.has_value()) {
+        expected.push_back("+R1" + new_tuple->ToString());
+      }
+    }
+  }
+  ASSERT_EQ(expected.size(), 6u);  // two modifications, an insert, a delete
+
+  std::unique_ptr<Database> db = TinyDatabase();
+  RecordingStrategy strategy(db.get());
+  Result<std::vector<WorkloadOp>> applied =
+      ApplyTransaction(db.get(), ops, mix, nullptr, {&strategy});
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.ValueOrDie().size(), 3u);
+  EXPECT_EQ(strategy.batches, 1);
+  EXPECT_EQ(strategy.ends, 1);
+  EXPECT_EQ(strategy.events, expected);
+}
+
+TEST(ApplyTransactionTest, UnnotifiedTransactionsCallNoStrategy) {
+  std::unique_ptr<Database> db = TinyDatabase();
+  RecordingStrategy strategy(db.get());
+  WorkloadMix mix;
+  mix.min_r1_tuples = db->r1_rids.size();  // every delete is skipped
+
+  Result<std::vector<WorkloadOp>> silent = ApplyTransaction(
+      db.get(), {{WorkloadOp::Kind::kSilentUpdate, 21}}, mix, nullptr,
+      {&strategy});
+  ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+  EXPECT_EQ(silent.ValueOrDie().size(), 1u);  // applied, not reported
+
+  Result<std::vector<WorkloadOp>> skipped = ApplyTransaction(
+      db.get(), {{WorkloadOp::Kind::kDelete, 22}}, mix, nullptr, {&strategy});
+  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+  EXPECT_TRUE(skipped.ValueOrDie().empty());
+
+  EXPECT_EQ(strategy.batches, 0);
+  EXPECT_EQ(strategy.ends, 0);
+}
+
+TEST(ApplyTransactionTest, OnBatchErrorIsReturnedBeforeAnyTransactionEnd) {
+  std::unique_ptr<Database> db = TinyDatabase();
+  RecordingStrategy failing(db.get());
+  RecordingStrategy later(db.get());
+  failing.batch_status = Status::Internal("planted OnBatch failure");
+  WorkloadMix mix;
+
+  Result<std::vector<WorkloadOp>> applied =
+      ApplyTransaction(db.get(), {{WorkloadOp::Kind::kUpdate, 31}}, mix,
+                       nullptr, {&failing, &later});
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(applied.status().message(), "planted OnBatch failure");
+  EXPECT_EQ(failing.batches, 1);
+  EXPECT_EQ(later.batches, 0);
+  EXPECT_EQ(failing.ends, 0);
+  EXPECT_EQ(later.ends, 0);
 }
 
 }  // namespace

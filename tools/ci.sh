@@ -28,6 +28,9 @@
 #      golden (tools/procsim_lint/goldens/clean.json)
 #  10. Static-analysis gate (tools/check.sh)
 #  11. Format gate (tools/format.sh --check; no-op without clang-format)
+#  12. Wall-clock benchmark determinism: perfbench/test_determinism.py
+#      builds the benchmark binary and requires two fixed-op runs of one
+#      seed to report identical counts, and another seed to differ
 set -eu -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,5 +86,8 @@ bash tools/check.sh build-asan
 
 echo "=== ci.sh: format check ==="
 bash tools/format.sh --check
+
+echo "=== ci.sh: wall-clock benchmark determinism ==="
+python3 perfbench/test_determinism.py
 
 echo "ci.sh: ALL GATES PASSED"
