@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "audit/validate.h"
-#include "proc/cache_invalidate.h"
 #include "proc/strategy.h"
-#include "proc/update_cache_rvm.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 #include "storage/disk.h"
@@ -122,17 +120,7 @@ Status CompareBatch(Harness* harness, const CrossCheckOptions& options,
     }
   }
   if (options.validate_structures) {
-    PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*harness->db->catalog));
-    if (harness->strategies.rvm->network() != nullptr) {
-      PROCSIM_RETURN_IF_ERROR(
-          ValidateReteNetwork(*harness->strategies.rvm->network()));
-    }
-    PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
-        harness->strategies.cache_invalidate->lock_table(), total));
-    PROCSIM_RETURN_IF_ERROR(ValidateInvalidationLog(
-        harness->strategies.cache_invalidate->validity_log()));
-    PROCSIM_RETURN_IF_ERROR(
-        ValidateCacheBudget(*harness->strategies.budget));
+    return ValidateStructures(*harness->db, harness->strategies);
   }
   return Status::OK();
 }

@@ -10,6 +10,8 @@
 #include "relational/catalog.h"
 #include "relational/relation.h"
 #include "rete/network.h"
+#include "sim/simulator.h"
+#include "sim/workload.h"
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
 #include "storage/heap_file.h"
@@ -72,6 +74,12 @@ Status ValidateRelation(const rel::Relation& relation,
 
 /// Runs ValidateRelation over every relation in the catalog.
 Status ValidateCatalog(const rel::Catalog& catalog);
+
+/// The structure sweep every quiescent check runs over one engine: the
+/// catalog, the Rete network (when built), CacheInvalidate's i-lock table
+/// and validity log, and the cache budget.
+Status ValidateStructures(const sim::Database& db,
+                          const sim::StrategySet& strategies);
 
 }  // namespace procsim::audit
 

@@ -1,15 +1,11 @@
 #include "concurrent/engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "audit/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "proc/cache_invalidate.h"
-#include "proc/strategy.h"
-#include "proc/update_cache_rvm.h"
-#include "storage/disk.h"
+#include "util/latch.h"
 #include "util/logging.h"
 
 namespace procsim::concurrent {
@@ -25,86 +21,35 @@ obs::Histogram* const g_access_cost = obs::GlobalMetrics().RegisterHistogram(
 }  // namespace
 
 Result<std::unique_ptr<Engine>> Engine::Create(const Options& options) {
-  auto engine = std::unique_ptr<Engine>(new Engine());
-  Result<std::unique_ptr<sim::Database>> built =
-      sim::BuildDatabase(options.params, options.model, options.seed);
+  txn::TxnEngine::Options txn_options;
+  txn_options.params = options.params;
+  txn_options.model = options.model;
+  txn_options.seed = options.seed;
+  txn_options.config = options.config;
+  txn_options.deadlock_policy = txn::LockManager::DeadlockPolicy::kBlock;
+  Result<std::unique_ptr<txn::TxnEngine>> built =
+      txn::TxnEngine::Create(txn_options);
   if (!built.ok()) return built.status();
-  engine->db_ = built.TakeValueOrDie();
-  Result<sim::StrategySet> strategies = sim::MakeAllStrategies(
-      engine->db_.get(), options.params, options.model, options.config);
-  if (!strategies.ok()) return strategies.status();
-  engine->strategies_ = strategies.TakeValueOrDie();
-  const std::size_t stripes = std::max<std::size_t>(
-      1, std::min(options.config.shards, engine->db_->procedures.size()));
-  engine->slot_stripes_ = std::make_unique<util::LatchStripes>(
-      util::LatchRank::kStrategySlot, "Engine::slot", stripes);
-  engine->wal_ = std::make_unique<storage::WriteAheadLog>(
-      &engine->db_->meter, options.config.wal_force_cost_ms);
-  // kBlock: every session transaction locks exactly one granule (R1) once,
-  // so plain blocking is provably deadlock-free here.
-  engine->locks_ =
-      std::make_unique<txn::LockManager>(txn::LockManager::DeadlockPolicy::kBlock);
-  engine->txns_ = std::make_unique<txn::TxnManager>(
-      engine->wal_.get(), engine->locks_.get(), &engine->db_->meter,
-      txn::TxnManager::Options{options.config.group_commit_size});
-  return engine;
+  return std::unique_ptr<Engine>(new Engine(built.TakeValueOrDie()));
 }
 
-std::size_t Engine::procedure_count() const { return db_->procedures.size(); }
-
 Result<std::string> Engine::Access(uint64_t access_id) {
-  const txn::TxnId txn = txns_->Begin();
-  Status lock = locks_->Acquire(txn, txn::Granule::Relation("R1"),
-                                txn::LockMode::kShared);
-  if (!lock.ok()) {
-    txns_->Abort(txn);
-    return lock;
-  }
-  Result<std::string> result = [&]() -> Result<std::string> {
-    const auto id =
-        static_cast<proc::ProcId>(access_id % db_->procedures.size());
-    g_accesses->Add();
-    obs::TraceSpan span("concurrent.engine.access", "concurrent");
-    util::RankedSharedLockGuard db_guard(db_latch_);
-    // The slot stripe serializes concurrent refreshes of the same cache
-    // slot (e.g. two sessions both finding CacheInvalidate's entry
-    // invalid).
-    util::RankedLockGuard slot_guard(slot_stripes_->For(id));
-
-    // Metered cost of this access across all six strategies (total_ms is
-    // an atomic, so concurrent sessions perturb each other's deltas only
-    // by their own charges — the histogram is exact in barrier-stepped
-    // mode).
-    const double before_ms = db_->meter.total_ms();
-    std::string expected;
-    bool first = true;
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      Result<std::vector<rel::Tuple>> answer = strategy->Access(id);
-      if (!answer.ok()) {
-        return Status::Internal(strategy->name() + " failed accessing " +
-                                db_->procedures[id].name + ": " +
-                                answer.status().ToString());
-      }
-      std::string digest = sim::CanonicalResultBytes(answer.ValueOrDie());
-      if (first) {
-        expected = std::move(digest);
-        first = false;
-      } else if (digest != expected) {
-        return Status::Internal(strategy->name() + " diverged on " +
-                                db_->procedures[id].name +
-                                " under concurrent access");
-      }
-    }
-    g_access_cost->Observe(db_->meter.total_ms() - before_ms);
-    return expected;
-  }();
-  // Session latches are released; the read-only commit just retires the
-  // transaction (its lock was released at commit-enqueue).
+  g_accesses->Add();
+  obs::TraceSpan span("concurrent.engine.access", "concurrent");
+  const txn::TxnId txn = engine_->Begin();
+  // Metered cost of this access across all six strategies (total_ms is an
+  // atomic, so concurrent sessions perturb each other's deltas only by
+  // their own charges — the histogram is exact in barrier-stepped mode).
+  const CostMeter& meter = engine_->database()->meter;
+  const double before_ms = meter.total_ms();
+  Result<std::string> result = engine_->Access(txn, access_id);
   if (!result.ok()) {
-    txns_->Abort(txn);
+    engine_->Abort(txn);
     return result;
   }
-  PROCSIM_RETURN_IF_ERROR(txns_->Commit(txn, nullptr));
+  g_access_cost->Observe(meter.total_ms() - before_ms);
+  // A read-only commit applies nothing, so the mix is never read.
+  PROCSIM_RETURN_IF_ERROR(engine_->Commit(txn, engine_->options().mix));
   return result;
 }
 
@@ -112,73 +57,23 @@ Status Engine::Mutate(const sim::WorkloadOp& op, const sim::WorkloadMix& mix) {
   PROCSIM_CHECK(op.value != 0)
       << "engine mutations must be op-seeded (value != 0)";
   g_mutations->Add();
-  const txn::TxnId txn = txns_->Begin();
-  Status st = locks_->Acquire(txn, txn::Granule::Relation("R1"),
-                              txn::LockMode::kExclusive);
-  if (!st.ok()) {
-    txns_->Abort(txn);
-    return st;
-  }
-  st = txns_->QueueOp(txn, op);
-  if (!st.ok()) {
-    txns_->Abort(txn);
-    return st;
-  }
-  // The apply hook runs at the group flush — immediately with the default
-  // group_commit_size of 1, batched otherwise.
-  return txns_->Commit(
-      txn, [this, mix](txn::TxnId, const std::vector<sim::WorkloadOp>& ops) {
-        return ApplyOps(ops, mix);
-      });
-}
-
-Status Engine::ApplyOps(const std::vector<sim::WorkloadOp>& ops,
-                        const sim::WorkloadMix& mix) {
   obs::TraceSpan span("concurrent.engine.mutate", "concurrent");
-  util::RankedLockGuard db_guard(db_latch_);
-  return sim::ApplyTransaction(db_.get(), ops, mix, /*inline_rng=*/nullptr,
-                               strategies_.List())
-      .status();
+  const txn::TxnId txn = engine_->Begin();
+  if (Status queued = engine_->Queue(txn, op); !queued.ok()) {
+    engine_->Abort(txn);
+    return queued;
+  }
+  return engine_->Commit(txn, mix);
 }
 
 Status Engine::ValidateAtQuiesce() {
   PROCSIM_CHECK_EQ(util::internal::HeldCount(), 0u)
       << "quiescent validation with latches held";
-  // Retire any partially filled commit group so the validated state is the
-  // fully committed one, then check the log's own invariants.
-  PROCSIM_RETURN_IF_ERROR(txns_->Flush());
-  PROCSIM_RETURN_IF_ERROR(wal_->CheckConsistency());
-  for (proc::ProcId id = 0; id < db_->procedures.size(); ++id) {
-    std::string expected;
-    {
-      storage::MeteringGuard guard(db_->disk.get());
-      Result<std::vector<rel::Tuple>> oracle =
-          db_->executor->Execute(db_->procedures[id].query);
-      PROCSIM_RETURN_IF_ERROR(oracle.status());
-      expected = sim::CanonicalResultBytes(oracle.ValueOrDie());
-    }
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      Result<std::vector<rel::Tuple>> answer = strategy->Access(id);
-      PROCSIM_RETURN_IF_ERROR(answer.status());
-      if (sim::CanonicalResultBytes(answer.ValueOrDie()) != expected) {
-        return Status::Internal(strategy->name() + " diverged on " +
-                                db_->procedures[id].name +
-                                " at quiesce after concurrent run");
-      }
-    }
-  }
-  PROCSIM_RETURN_IF_ERROR(audit::ValidateCatalog(*db_->catalog));
-  if (strategies_.rvm->network() != nullptr) {
-    PROCSIM_RETURN_IF_ERROR(
-        audit::ValidateReteNetwork(*strategies_.rvm->network()));
-  }
-  PROCSIM_RETURN_IF_ERROR(audit::ValidateILockTable(
-      strategies_.cache_invalidate->lock_table(), db_->procedures.size()));
-  PROCSIM_RETURN_IF_ERROR(audit::ValidateInvalidationLog(
-      strategies_.cache_invalidate->validity_log()));
-  PROCSIM_RETURN_IF_ERROR(
-      audit::ValidateCacheBudget(*strategies_.budget));
-  return Status::OK();
+  PROCSIM_RETURN_IF_ERROR(engine_->Flush());
+  PROCSIM_RETURN_IF_ERROR(engine_->wal().CheckConsistency());
+  PROCSIM_RETURN_IF_ERROR(engine_->CompareAllAgainstOracle());
+  return audit::ValidateStructures(*engine_->database(),
+                                   engine_->strategies());
 }
 
 }  // namespace procsim::concurrent

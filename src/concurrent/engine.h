@@ -4,52 +4,34 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "cost/params.h"
-#include "proc/engine_config.h"
-#include "sim/simulator.h"
 #include "sim/workload.h"
-#include "storage/wal.h"
-#include "txn/lock_manager.h"
-#include "txn/txn_manager.h"
-#include "util/latch.h"
+#include "txn/engine.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace procsim::concurrent {
 
-/// \brief A multi-session façade over one shared Database plus the full
-/// six-strategy set.
+/// \brief The session layer: many client sessions serve procedures and
+/// apply updates through one shared txn::TxnEngine.
 ///
-/// The paper's engine is single-user; this layer adds the latching
-/// discipline a real procedure cache needs when several client sessions
-/// read and update at once, without changing any answer:
+/// The paper's engine is single-user; the TxnEngine below adds the
+/// latching a real procedure cache needs when several sessions read and
+/// update at once, without changing any answer.  Accesses take its
+/// database latch SHARED and then the procedure's slot stripe EXCLUSIVE;
+/// the group-flush apply takes the database latch EXCLUSIVE.  Latch order
+/// follows LatchRank (latch_rank_test plants an inversion to prove the
+/// checker would catch one).
 ///
-///  - Accesses take the database latch SHARED, then the accessed
-///    procedure's slot stripe EXCLUSIVE.  Different procedures proceed in
-///    parallel; two accesses racing to recompute the same invalid cache
-///    slot serialize on the stripe.  Below the stripe, the shared
-///    structures the access touches (i-lock shards, the invalidation log,
-///    the disk page table, the buffer cache) each take their own
-///    higher-ranked internal latch.
-///  - Mutations take the database latch EXCLUSIVE — base-table writes fan
-///    out to every strategy (Rete token propagation, cache invalidation,
-///    delta queues), which is inherently whole-engine work in this design,
-///    exactly like a table-level X lock.
-///
-/// Latch order follows LatchRank; every path acquires strictly upward, so
-/// the hierarchy is deadlock-free by construction (latch_rank_test plants
-/// an inversion to prove the checker would catch a violation).
-///
-/// Since the transaction layer landed, every Access/Mutate runs as a real
-/// transaction: begin, a 2PL lock on R1 (kBlock policy — each transaction
-/// locks a single granule exactly once, so blocking cannot cycle), the
-/// mutation buffered and group-committed through a WriteAheadLog.  With the
-/// default group_commit_size of 1 the flush happens inside Mutate and
-/// behavior is byte-identical to the pre-transactional engine; larger
-/// groups defer the database apply to the group flush (sessions observe
-/// the committed prefix, the group-commit trade fig21 measures).
+/// Each call is one transaction: Access is Begin → TxnEngine::Access →
+/// Commit; Mutate is Begin → Queue → Commit.  Every session transaction
+/// locks R1 once, so the engine runs the kBlock deadlock policy — blocking
+/// cannot cycle, and wound-wait would abort sessions that did nothing
+/// wrong.  With the default group_commit_size of 1 a mutation is applied
+/// inside Mutate; larger groups defer it to the group flush (sessions
+/// observe the committed prefix, the trade fig21 measures).  The
+/// TxnEngine mirrors CacheInvalidate's validity transitions into the WAL,
+/// so the log this engine leaves behind recovers with TxnEngine::Recover.
 class Engine {
  public:
   struct Options {
@@ -71,57 +53,39 @@ class Engine {
   /// bytes (sim::CanonicalResultBytes).  Safe to call from many sessions.
   Result<std::string> Access(uint64_t access_id);
 
-  /// Applies one mutation op and notifies every strategy (unless the op is
-  /// silent).  Op-seeded ops only (value != 0): the engine has no inline
-  /// RNG because interleaving across sessions is nondeterministic.
+  /// Commits one mutation op, applied under `mix` at the group flush.
+  /// Op-seeded ops only (value != 0): the engine has no inline RNG because
+  /// interleaving across sessions is nondeterministic.
   Status Mutate(const sim::WorkloadOp& op, const sim::WorkloadMix& mix);
 
-  /// Single-threaded quiescent sweep: every strategy's answer for every
-  /// procedure is compared against the from-scratch oracle, and the deep
-  /// structure validators run.  Call only when no session is in flight
-  /// (checked: aborts if the calling thread holds any latch; analysis
-  /// disabled by design for the same reason — quiescent-only access).
-  Status ValidateAtQuiesce() NO_THREAD_SAFETY_ANALYSIS;
+  /// Single-threaded quiescent sweep: flushes the last commit group, checks
+  /// the WAL, compares every strategy's answer for every procedure against
+  /// the from-scratch oracle and runs the structure validators.  Call only
+  /// when no session is in flight (checked: aborts if the calling thread
+  /// holds any latch).
+  Status ValidateAtQuiesce();
 
   /// Latch-free: the procedure set is fixed at Create() time.
-  std::size_t procedure_count() const NO_THREAD_SAFETY_ANALYSIS;
+  std::size_t procedure_count() const { return engine_->procedure_count(); }
 
-  /// Quiescent-only (setup/teardown escape hatch; analysis disabled by
-  /// design).
-  sim::Database* database() NO_THREAD_SAFETY_ANALYSIS { return db_.get(); }
+  /// Quiescent-only (setup/teardown escape hatch).
+  sim::Database* database() { return engine_->database(); }
 
   /// The shared cache budget (quiescent-only, same escape hatch as
   /// database()).
-  proc::CacheBudget* cache_budget() NO_THREAD_SAFETY_ANALYSIS {
-    return strategies_.budget.get();
+  proc::CacheBudget* cache_budget() {
+    return engine_->strategies().budget.get();
   }
 
   /// The engine's write-ahead log (safe concurrently: the WAL has its own
-  /// latch) and transaction manager.
-  const storage::WriteAheadLog& wal() const { return *wal_; }
-  txn::TxnManager& txn_manager() { return *txns_; }
+  /// latch).
+  const storage::WriteAheadLog& wal() const { return engine_->wal(); }
 
  private:
-  Engine() = default;
+  explicit Engine(std::unique_ptr<txn::TxnEngine> engine)
+      : engine_(std::move(engine)) {}
 
-  /// Group-flush apply hook: the old Mutate body, under the exclusive
-  /// database latch.
-  Status ApplyOps(const std::vector<sim::WorkloadOp>& ops,
-                  const sim::WorkloadMix& mix);
-
-  mutable util::RankedSharedMutex db_latch_{util::LatchRank::kDatabase,
-                                            "Engine::db"};
-  std::unique_ptr<util::LatchStripes> slot_stripes_;
-  // Shared for accesses (strategy caches synchronize below on the slot
-  // stripes and each structure's own latch), exclusive for mutations.
-  std::unique_ptr<sim::Database> db_ GUARDED_BY(db_latch_);
-  sim::StrategySet strategies_ GUARDED_BY(db_latch_);
-  // procsim-lint: allow(unguarded(wal_)) because the pointer is written once at Create; the WriteAheadLog serializes itself on its own kWal latch
-  std::unique_ptr<storage::WriteAheadLog> wal_;
-  // procsim-lint: allow(unguarded(locks_)) because the pointer is written once at Create; the LockManager serializes itself on its own kTxnLock latch
-  std::unique_ptr<txn::LockManager> locks_;
-  // procsim-lint: allow(unguarded(txns_)) because the pointer is written once at Create; the TxnManager serializes itself on its own kTxnManager latch
-  std::unique_ptr<txn::TxnManager> txns_;
+  const std::unique_ptr<txn::TxnEngine> engine_;
 };
 
 }  // namespace procsim::concurrent

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "util/latch.h"
 #include "util/logging.h"
 #include "util/rng.h"
 

@@ -14,6 +14,7 @@ namespace procsim::concurrent {
 
 /// \brief N client sessions driving one shared Engine, each replaying a
 /// seeded per-session workload stream of accesses and update transactions.
+/// Every op is one transaction on the Engine's txn::TxnEngine.
 ///
 /// Two execution modes:
 ///
@@ -27,10 +28,10 @@ namespace procsim::concurrent {
 ///    the equivalence proof between the concurrent engine and the paper's
 ///    single-user semantics.
 ///  - **Free-running** (`deterministic = false`): sessions run full speed
-///    with no coordination beyond the engine's latches.  Interleaving is
-///    whatever the scheduler gives; correctness is checked per access
-///    (all strategies agree) and by a full oracle sweep at quiesce.  This
-///    mode is what the TSan-gated stress test exercises.
+///    with no coordination beyond the TxnEngine's locks and latches.
+///    Interleaving is whatever the scheduler gives; correctness is checked
+///    per access (all strategies agree) and by a full oracle sweep at
+///    quiesce.  This mode is what the TSan-gated stress test exercises.
 class SessionPool {
  public:
   struct Options {

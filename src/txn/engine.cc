@@ -90,8 +90,8 @@ Result<std::string> TxnEngine::Access(TxnId txn, uint64_t access_id) {
   util::RankedSharedLockGuard db_guard(db_latch_);
   const auto id =
       static_cast<proc::ProcId>(access_id % db_->procedures.size());
-  // The slot stripe serializes concurrent refreshes of one cache slot,
-  // exactly as in concurrent::Engine.
+  // The slot stripe serializes concurrent refreshes of one cache slot
+  // (e.g. two sessions both finding CacheInvalidate's entry invalid).
   util::RankedLockGuard slot_guard(slot_stripes_->For(id));
   std::string expected;
   bool first = true;
@@ -115,11 +115,11 @@ Result<std::string> TxnEngine::Access(TxnId txn, uint64_t access_id) {
   return expected;
 }
 
-Status TxnEngine::Commit(TxnId txn) {
-  return txns_->Commit(txn, [this](TxnId t,
-                                   const std::vector<sim::WorkloadOp>& ops) {
-    return ApplyCommitted(t, ops, /*skip_invalidation=*/false);
-  });
+Status TxnEngine::Commit(TxnId txn, const sim::WorkloadMix& mix) {
+  return txns_->Commit(
+      txn, [this, mix](TxnId t, const std::vector<sim::WorkloadOp>& ops) {
+        return ApplyCommitted(t, ops, mix, /*skip_invalidation=*/false);
+      });
 }
 
 Status TxnEngine::Abort(TxnId txn) { return txns_->Abort(txn); }
@@ -128,6 +128,7 @@ Status TxnEngine::Flush() { return txns_->Flush(); }
 
 Status TxnEngine::ApplyCommitted(TxnId txn,
                                  const std::vector<sim::WorkloadOp>& ops,
+                                 const sim::WorkloadMix& mix,
                                  bool skip_invalidation) {
   CurrentTxnScope scope(txn);
   util::RankedLockGuard db_guard(db_latch_);
@@ -137,8 +138,8 @@ Status TxnEngine::ApplyCommitted(TxnId txn,
     // a lost invalidation.
     std::erase(strategies, strategies_.cache_invalidate);
   }
-  return sim::ApplyTransaction(db_.get(), ops, options_.mix,
-                               /*inline_rng=*/nullptr, strategies)
+  return sim::ApplyTransaction(db_.get(), ops, mix, /*inline_rng=*/nullptr,
+                               strategies)
       .status();
 }
 
@@ -180,7 +181,7 @@ Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops) {
           }
           const TxnId txn = open;
           open = 0;  // Commit terminates the txn even when it fails
-          PROCSIM_RETURN_IF_ERROR(Commit(txn));
+          PROCSIM_RETURN_IF_ERROR(Commit(txn, options_.mix));
           break;
         }
         case sim::WorkloadOp::Kind::kAbort: {
@@ -200,7 +201,7 @@ Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops) {
           if (implicit) {
             const TxnId txn = open;
             open = 0;
-            PROCSIM_RETURN_IF_ERROR(Commit(txn));
+            PROCSIM_RETURN_IF_ERROR(Commit(txn, options_.mix));
           }
           break;
         }
@@ -211,7 +212,7 @@ Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops) {
           if (implicit) {
             const TxnId txn = open;
             open = 0;
-            PROCSIM_RETURN_IF_ERROR(Commit(txn));
+            PROCSIM_RETURN_IF_ERROR(Commit(txn, options_.mix));
           }
           break;
         }
@@ -338,8 +339,9 @@ Result<std::unique_ptr<TxnEngine>> TxnEngine::Recover(
         const auto it = buffered.find(record.txn);
         if (it == buffered.end()) break;  // read-only transaction
         replayed_mutations += it->second.size();
-        PROCSIM_RETURN_IF_ERROR(engine.ApplyCommitted(
-            record.txn, it->second, injection.drop_invalidation_replay));
+        PROCSIM_RETURN_IF_ERROR(
+            engine.ApplyCommitted(record.txn, it->second, options.mix,
+                                  injection.drop_invalidation_replay));
         buffered.erase(it);
         break;
       }

@@ -116,7 +116,10 @@ class TxnEngine {
   /// and the canonical digest is returned.
   Result<std::string> Access(TxnId txn, uint64_t access_id);
 
-  Status Commit(TxnId txn);
+  /// Commits `txn`.  Its queued ops are applied at the group flush under
+  /// `mix` (Run and Recover pass options().mix; concurrent::Engine passes
+  /// its own).
+  Status Commit(TxnId txn, const sim::WorkloadMix& mix);
   Status Abort(TxnId txn);
 
   /// Forces the pending partial commit group, if any.
@@ -153,14 +156,12 @@ class TxnEngine {
   }
   const storage::WriteAheadLog& wal() const { return *wal_; }
   LockManager& locks() { return *locks_; }
-  TxnManager& manager() { return *txns_; }
   const Options& options() const { return options_; }
   std::size_t procedure_count() const NO_THREAD_SAFETY_ANALYSIS {
     return db_->procedures.size();
   }
 
-  /// Quiescent-only escape hatches (setup/validation, like
-  /// concurrent::Engine's).
+  /// Quiescent-only escape hatches (setup/validation).
   sim::Database* database() NO_THREAD_SAFETY_ANALYSIS { return db_.get(); }
   sim::StrategySet& strategies() NO_THREAD_SAFETY_ANALYSIS {
     return strategies_;
@@ -176,11 +177,11 @@ class TxnEngine {
   /// recovery does not re-log what it is reconstructing).
   void InstallMirror();
 
-  /// Group-flush apply hook: applies `ops` and notifies strategies, under
-  /// the db latch, tagged as `txn`.  `skip_invalidation` is the planted
-  /// recovery bug (only ever set by Recover's replay).
+  /// Group-flush apply hook: applies `ops` under `mix` and notifies
+  /// strategies, under the db latch, tagged as `txn`.  `skip_invalidation`
+  /// is the planted recovery bug (only ever set by Recover's replay).
   Status ApplyCommitted(TxnId txn, const std::vector<sim::WorkloadOp>& ops,
-                        bool skip_invalidation);
+                        const sim::WorkloadMix& mix, bool skip_invalidation);
 
   // procsim-lint: allow(unguarded(options_)) because options are written once at Build and read-only afterwards
   Options options_;

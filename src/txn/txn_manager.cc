@@ -142,7 +142,9 @@ Status TxnManager::FlushLocked() {
     for (const sim::WorkloadOp& op : state.ops) {
       wal_->AppendMutation(txn, static_cast<uint64_t>(op.kind), op.value);
     }
-    if (state.apply) {
+    // A read-only transaction has nothing to apply: skipping its hook keeps
+    // it from taking the exclusive database latch to apply nothing.
+    if (state.apply && !state.ops.empty()) {
       const Status applied = state.apply(txn, state.ops);
       if (!applied.ok()) {
         // The first i transactions reached their commit points: force and

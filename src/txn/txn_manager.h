@@ -78,7 +78,8 @@ class TxnManager {
   Status QueueOp(TxnId txn, const sim::WorkloadOp& op);
 
   /// Enqueues `txn` for group commit with `apply` as its flush-time hook
-  /// (may be null for read-only transactions) and releases its locks.
+  /// and releases its locks.  The hook may be null, and it runs only when
+  /// `txn` queued ops: a read-only transaction never applies.
   /// Flushes the group if it is now full.  Returns Aborted if `txn` was
   /// wounded — the transaction is rolled back instead (kAbort logged,
   /// buffer dropped).

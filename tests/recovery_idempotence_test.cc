@@ -2,13 +2,17 @@
 // yield byte-identical engines, and a recovered engine can itself crash and
 // recover (its WAL carries the surviving records verbatim) with no drift —
 // the fixed-point property that makes crash-during-recovery harmless in
-// this redo-only design.
+// this redo-only design.  The session engine's log recovers too: it runs
+// on the same TxnEngine, WAL mirror included.
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audit/crash.h"
+#include "concurrent/engine.h"
 #include "sim/workload.h"
 #include "storage/wal.h"
 #include "txn/engine.h"
@@ -146,9 +150,50 @@ TEST(RecoveryIdempotenceTest, RecoveredEngineNeverReusesLoggedTxnIds) {
   // one-termination-per-transaction invariant breaks on the next commit.
   const TxnId fresh = recovered.ValueOrDie()->Begin();
   EXPECT_GT(fresh, max_logged);
-  ASSERT_TRUE(recovered.ValueOrDie()->Commit(fresh).ok());
+  ASSERT_TRUE(recovered.ValueOrDie()->Commit(fresh, options.mix).ok());
   ASSERT_TRUE(recovered.ValueOrDie()->Flush().ok());
   EXPECT_TRUE(recovered.ValueOrDie()->wal().CheckConsistency().ok());
+}
+
+TEST(RecoveryIdempotenceTest, SessionEngineLogRecoversItsState) {
+  TxnEngine::Options options = SmallOptions(17);
+  options.config.group_commit_size = 3;
+  concurrent::Engine::Options engine_options;
+  engine_options.params = options.params;
+  engine_options.model = options.model;
+  engine_options.seed = options.seed;
+  engine_options.config = options.config;
+  Result<std::unique_ptr<concurrent::Engine>> built =
+      concurrent::Engine::Create(engine_options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  concurrent::Engine& engine = *built.ValueOrDie();
+
+  // 61 one-op transactions leave the last commit group part-filled.
+  sim::Workload workload(options.mix, engine.procedure_count(),
+                         options.seed + 1000);
+  for (const sim::WorkloadOp& op : workload.Take(61)) {
+    if (op.kind == sim::WorkloadOp::Kind::kAccess) {
+      ASSERT_TRUE(engine.Access(op.value).ok());
+    } else {
+      ASSERT_TRUE(engine.Mutate(op, options.mix).ok());
+    }
+  }
+  // Flushes the last group before its sweep.
+  ASSERT_TRUE(engine.ValidateAtQuiesce().ok());
+
+  const std::vector<storage::WalRecord> wal = engine.wal().Snapshot();
+  EXPECT_TRUE(std::any_of(wal.begin(), wal.end(),
+                          [](const storage::WalRecord& record) {
+                            return record.kind ==
+                                   storage::WalRecord::Kind::kInvalidate;
+                          }))
+      << "the session engine's WAL carries no mirrored invalidation";
+  Result<std::unique_ptr<TxnEngine>> recovered =
+      TxnEngine::Recover(options, wal, {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Result<std::string> digest = recovered.ValueOrDie()->StateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_EQ(digest.ValueOrDie(), OracleStateDigest(engine.database()));
 }
 
 }  // namespace

@@ -56,6 +56,25 @@ TEST(TxnManagerTest, FullGroupCommitsEveryTransaction) {
   EXPECT_TRUE(wal.CheckConsistency().ok());
 }
 
+TEST(TxnManagerTest, ReadOnlyCommitSkipsApplyHook) {
+  storage::WriteAheadLog wal;
+  LockManager locks;
+  TxnManager manager(&wal, &locks, nullptr, TxnManager::Options{1});
+  int applies = 0;
+  const auto count_apply = [&](TxnId,
+                               const std::vector<sim::WorkloadOp>&) -> Status {
+    ++applies;
+    return Status::OK();
+  };
+  const TxnId txn = manager.Begin();
+  ASSERT_TRUE(manager.Commit(txn, count_apply).ok());  // flushes at once
+  EXPECT_EQ(manager.commits(), 1u);
+  EXPECT_EQ(applies, 0);
+  EXPECT_EQ(CountRecords(wal.Snapshot(), storage::WalRecord::Kind::kCommit,
+                         txn),
+            1u);
+}
+
 TEST(TxnManagerTest, ApplyFailureRetiresPrefixOnceAndPoisons) {
   storage::WriteAheadLog wal;
   LockManager locks;
